@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short race bench bench-smoke fmt vet ci serve loadtest loadtest-gateway fuzz cover docs-check codegen portability
+.PHONY: build test test-short race bench bench-smoke fmt vet ci serve loadtest loadtest-gateway fuzz cover docs-check codegen portability deps-check
 
 build:
 	$(GO) build ./...
@@ -57,12 +57,20 @@ docs-check:
 	$(GO) run ./cmd/doccheck ./internal/wire ./internal/client ./internal/server ./internal/cluster ./internal/obs ./internal/metrics
 	./scripts/md_links.sh
 
-# fuzz runs the wire-protocol decoder fuzz target for 10s under the race
-# detector, starting from the checked-in seed corpus
-# (internal/wire/testdata/fuzz): corrupt or truncated frames must error,
-# never panic.
+# fuzz runs each fuzz target for 10s under the race detector, starting
+# from its checked-in seed corpus (testdata/fuzz): corrupt or truncated
+# wire frames must error, never panic (FuzzDecodeFrame), and any sorted
+# delta stream applied through a streaming session's DeltaState must match
+# a from-scratch reduction bit for bit (FuzzDeltaState).
 fuzz:
 	$(GO) test -race -run '^FuzzDecodeFrame$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/wire
+	$(GO) test -race -run '^FuzzDeltaState$$' -fuzz '^FuzzDeltaState$$' -fuzztime 10s ./internal/reduction
+
+# deps-check fails when the serving binaries (reduxd, reduxgw) link the
+# cycle simulator or the experiment-only packages (core, simarch, pclr,
+# vtime, simcache, spec).
+deps-check:
+	./scripts/deps_check.sh
 
 # cover measures -short statement coverage over ./internal/... and fails
 # if the total drops below the floor committed in scripts/coverage_gate.sh.
@@ -83,4 +91,4 @@ portability:
 	GOOS=linux GOARCH=amd64 GOAMD64=v3 $(GO) build ./...
 	$(GO) test -shuffle=on -count=2 -short ./internal/reduction/ ./internal/engine/
 
-ci: fmt vet build codegen portability race bench-smoke fuzz cover loadtest loadtest-gateway docs-check
+ci: fmt vet build deps-check codegen portability race bench-smoke fuzz cover loadtest loadtest-gateway docs-check

@@ -14,6 +14,7 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/experiments"
 	"repro/internal/pattern"
+	"repro/internal/schemesim"
 	"repro/internal/simarch"
 	"repro/internal/vtime"
 	"repro/internal/workloads"
@@ -166,7 +167,7 @@ func BenchmarkAblationStreamOverlap(b *testing.B) {
 		for _, ov := range []float64{1, 4, 8} {
 			cfg := vtime.DefaultConfig()
 			cfg.StreamOverlap = ov
-			ms := adapt.Rank(l, 8, cfg)
+			ms := schemesim.Rank(l, 8, cfg)
 			var repTotal float64
 			for _, m := range ms {
 				if m.Scheme == "rep" {

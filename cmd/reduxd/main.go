@@ -24,10 +24,10 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/platform"
 	"repro/internal/server"
 )
 
@@ -66,7 +66,7 @@ func main() {
 
 	eng, err := engine.New(engine.Config{
 		Workers:         *workers,
-		Platform:        core.DefaultPlatform(*procs),
+		Platform:        platform.Default(*procs),
 		QueueDepth:      *queue,
 		MaxBatch:        *maxBatch,
 		DisableCoalesce: *nocoalesce,

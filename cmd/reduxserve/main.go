@@ -43,9 +43,9 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/platform"
 	"repro/internal/reduction"
 	"repro/internal/server"
 	"repro/internal/trace"
@@ -71,46 +71,36 @@ type sessionHandle interface {
 	Gen() uint64
 }
 
-type localBackend struct{ e *engine.Engine }
-
-func (b localBackend) SubmitInto(l *trace.Loop, dst []float64) (engine.Result, error) {
-	return b.e.SubmitInto(l, dst)
-}
-func (b localBackend) OpenSession(l *trace.Loop) (sessionHandle, engine.Result, error) {
-	s, res, err := b.e.OpenSession(l, 0, nil)
-	if err != nil {
-		return nil, res, err
-	}
-	return s, res, nil
-}
-func (b localBackend) Stats() (engine.Stats, error) { return b.e.Stats(), nil }
-func (b localBackend) Close()                       { b.e.Close() }
-
-// tenantBackend is one tenant's submit surface over the shared
-// in-process engine — the local-mode counterpart of a HELLO-bound
-// client. The engine is owned (and closed) by the localBackend the
-// driver keeps for stats, so Close here is a no-op.
-type tenantBackend struct {
+// engineBackend is one tenant's submit surface over an in-process
+// engine, the local-mode counterpart of a HELLO-bound client. Tenant 0
+// is the default tenant, so an untenanted run is tenant 0. Only the
+// adapter that owns the engine closes it; the others share it.
+type engineBackend struct {
 	e      *engine.Engine
 	tenant int
+	owner  bool
 }
 
-func (b tenantBackend) SubmitInto(l *trace.Loop, dst []float64) (engine.Result, error) {
+func (b engineBackend) SubmitInto(l *trace.Loop, dst []float64) (engine.Result, error) {
 	h, err := b.e.SubmitAsyncIntoTenant(l, dst, b.tenant)
 	if err != nil {
 		return engine.Result{}, err
 	}
 	return h.Wait(), nil
 }
-func (b tenantBackend) OpenSession(l *trace.Loop) (sessionHandle, engine.Result, error) {
+func (b engineBackend) OpenSession(l *trace.Loop) (sessionHandle, engine.Result, error) {
 	s, res, err := b.e.OpenSessionTenant(l, 0, nil, b.tenant)
 	if err != nil {
 		return nil, res, err
 	}
 	return s, res, nil
 }
-func (b tenantBackend) Stats() (engine.Stats, error) { return b.e.Stats(), nil }
-func (b tenantBackend) Close()                       {}
+func (b engineBackend) Stats() (engine.Stats, error) { return b.e.Stats(), nil }
+func (b engineBackend) Close() {
+	if b.owner {
+		b.e.Close()
+	}
+}
 
 type remoteBackend struct{ c *client.Client }
 
@@ -350,7 +340,7 @@ func main() {
 
 	ecfg := engine.Config{
 		Workers:         *workers,
-		Platform:        core.DefaultPlatform(*procs),
+		Platform:        platform.Default(*procs),
 		QueueDepth:      *queue,
 		DisablePool:     *cold,
 		DisableFeedback: *cold,
@@ -388,9 +378,9 @@ func main() {
 			os.Exit(2)
 		}
 		for _, ts := range tspecs {
-			tenantBEs = append(tenantBEs, tenantBackend{e, e.TenantIndex(ts.Name)})
+			tenantBEs = append(tenantBEs, engineBackend{e: e, tenant: e.TenantIndex(ts.Name)})
 		}
-		be = localBackend{e}
+		be = engineBackend{e: e, owner: true}
 		where = fmt.Sprintf("in-process engine with %d tenants", len(tspecs))
 	case *remote != "":
 		c, err := client.Dial(*remote, client.Config{Conns: *conns})
@@ -420,7 +410,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "reduxserve:", err)
 			os.Exit(2)
 		}
-		be = localBackend{e}
+		be = engineBackend{e: e, owner: true}
 	}
 	defer be.Close()
 

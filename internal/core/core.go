@@ -22,7 +22,9 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/pattern"
 	"repro/internal/pclr"
+	"repro/internal/platform"
 	"repro/internal/reduction"
+	"repro/internal/schemesim"
 	"repro/internal/simarch"
 	"repro/internal/trace"
 	"repro/internal/vtime"
@@ -64,12 +66,22 @@ func (a Action) String() string {
 // scheme; it is the ToolBox's performance-model component.
 type Predictor struct {
 	Procs int
-	Cfg   vtime.Config
+	Cfg   platform.Cache
 }
 
 // Predict returns the ranked per-scheme cost estimates.
-func (p Predictor) Predict(l *trace.Loop) []adapt.Measured {
-	return adapt.Rank(l, p.Procs, p.Cfg)
+func (p Predictor) Predict(l *trace.Loop) []schemesim.Measured {
+	return schemesim.Rank(l, p.Procs, costModel(p.Cfg))
+}
+
+// costModel returns the Table 1 cycle model with the cache geometry's L2
+// capacity (the default when unset).
+func costModel(c platform.Cache) vtime.Config {
+	cfg := vtime.DefaultConfig()
+	if c.L2Bytes > 0 {
+		cfg.L2Bytes = c.L2Bytes
+	}
+	return cfg
 }
 
 // PredictScheme returns the predicted cycles for one scheme.
@@ -118,27 +130,21 @@ func (e Evaluator) Judge(dev float64) Action {
 }
 
 // Platform describes what the executing machine offers; it is the
-// system-specific database of the ToolBox.
-type Platform struct {
-	// Procs is the processor count.
-	Procs int
-	// Cfg is the cost model of the machine (Table 1 by default).
-	Cfg vtime.Config
-	// PCLR reports whether the machine's directory controllers implement
-	// Private Cache-Line Reduction, and with which controller flavor.
-	PCLR           bool
-	PCLRController simarch.Controller
-}
+// system-specific database of the ToolBox. The cost model the Predictor
+// and the monitor charge is Table 1 with the platform's L2 capacity.
+type Platform = platform.Platform
 
-// DefaultPlatform returns an 8-processor software-only platform.
-func DefaultPlatform(procs int) Platform {
-	return Platform{Procs: procs, Cfg: vtime.DefaultConfig()}
-}
+// DefaultPlatform returns a procs-processor software-only platform with
+// the Table 1 cache.
+func DefaultPlatform(procs int) Platform { return platform.Default(procs) }
 
 // Configurer turns an optimization decision into a concrete
 // configuration: a software scheme or a PCLR hardware programming.
 type Configurer struct {
-	Platform Platform
+	// PCLR reports whether the machine's directory controllers implement
+	// Private Cache-Line Reduction, and with which controller flavor.
+	PCLR           bool
+	PCLRController simarch.Controller
 }
 
 // Configuration is what the Configurer installs for a loop.
@@ -157,8 +163,8 @@ type Configuration struct {
 // merge phases regardless of the access pattern (Section 5.2); loops the
 // directory units cannot combine fall back to software.
 func (c Configurer) Configure(l *trace.Loop, rec adapt.Recommendation) Configuration {
-	if c.Platform.PCLR {
-		hc := pclr.HardwareConfig{Op: l.Op, Controller: c.Platform.PCLRController, ElemBytes: 8}
+	if c.PCLR {
+		hc := pclr.HardwareConfig{Op: l.Op, Controller: c.PCLRController, ElemBytes: 8}
 		if err := hc.Validate(); err == nil {
 			return Configuration{
 				UseHardware: true,
@@ -188,36 +194,45 @@ type Runtime struct {
 	// SampleStride controls the fast approximate characterization pass.
 	SampleStride int
 
-	tracker   pattern.Tracker
-	predictor Predictor
-	current   reduction.Scheme
-	predicted float64
-	history   []Decision
+	configurer Configurer
+	tracker    pattern.Tracker
+	predictor  Predictor
+	current    reduction.Scheme
+	predicted  float64
+	history    []Decision
 	// exec recycles privatization buffers across invocations, the
 	// "run-time tuning" adaptation level applied to memory: a loop body
 	// invoked K times allocates its private arrays once, not K times.
 	exec *reduction.Exec
 }
 
-// NewRuntime builds a runtime for the platform.
+// NewRuntime builds a runtime for a software-only platform.
 func NewRuntime(p Platform) *Runtime {
 	if p.Procs < 1 {
 		panic("core: platform needs at least one processor")
 	}
-	cfg := p.Cfg
-	if cfg.LineBytes == 0 {
-		cfg = vtime.DefaultConfig()
+	if p.Cfg.L2Bytes <= 0 {
+		p.Cfg.L2Bytes = platform.DefaultL2Bytes
 	}
 	return &Runtime{
-		Platform:     Platform{Procs: p.Procs, Cfg: cfg, PCLR: p.PCLR, PCLRController: p.PCLRController},
+		Platform:     p,
 		Evaluator:    DefaultEvaluator(),
 		SampleStride: 8,
-		predictor:    Predictor{Procs: p.Procs, Cfg: cfg},
+		predictor:    Predictor{Procs: p.Procs, Cfg: p.Cfg},
 		exec: &reduction.Exec{
 			Pool:            reduction.NewBufferPool(),
-			MergeBlockElems: reduction.MergeBlockForCache(cfg.L2Bytes, p.Procs),
+			MergeBlockElems: reduction.MergeBlockForCache(p.Cfg.L2Bytes, p.Procs),
 		},
 	}
+}
+
+// NewPCLRRuntime builds a runtime for a platform whose directory
+// controllers implement PCLR with the given controller flavor: loops with
+// a supported operator are configured onto the hardware path.
+func NewPCLRRuntime(p Platform, controller simarch.Controller) *Runtime {
+	r := NewRuntime(p)
+	r.configurer = Configurer{PCLR: true, PCLRController: controller}
+	return r
 }
 
 // Outcome is the result of executing one loop invocation adaptively.
@@ -235,14 +250,14 @@ type Outcome struct {
 // pipeline: sampled characterization, change detection, multi-version
 // selection (or hardware configuration), execution, and monitoring.
 func (r *Runtime) Execute(l *trace.Loop) Outcome {
-	prof := pattern.CharacterizeSampled(l, r.Platform.Procs, r.predictor.Cfg.L2Bytes, r.SampleStride)
+	prof := pattern.CharacterizeSampled(l, r.Platform.Procs, r.Platform.Cfg.L2Bytes, r.SampleStride)
 
 	var dec Decision
 	dec.LoopName = l.Name
 
 	changed := r.tracker.Update(prof)
 	rec := adapt.Recommend(prof)
-	conf := Configurer{Platform: r.Platform}.Configure(l, rec)
+	conf := r.configurer.Configure(l, rec)
 
 	if changed || r.current == nil {
 		if !conf.UseHardware {
@@ -278,9 +293,9 @@ func (r *Runtime) Execute(l *trace.Loop) Outcome {
 
 	// Monitor: measure in virtual time and judge the deviation.
 	if !conf.UseHardware && r.predicted > 0 {
-		m := vtime.NewMachine(r.Platform.Procs, r.predictor.Cfg)
+		m := vtime.NewMachine(r.Platform.Procs, costModel(r.Platform.Cfg))
 		m.EnableSharingTracking()
-		measured := r.current.Simulate(l, m).Total()
+		measured := schemesim.Simulate(r.current, l, m).Total()
 		dec.Predicted = r.predicted
 		dec.Measured = measured
 		dec.Deviation = r.Evaluator.Deviation(r.predicted, measured)

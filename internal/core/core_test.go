@@ -73,10 +73,7 @@ func TestRuntimeReselectsOnPhaseChange(t *testing.T) {
 }
 
 func TestRuntimeHardwarePath(t *testing.T) {
-	p := DefaultPlatform(8)
-	p.PCLR = true
-	p.PCLRController = simarch.Hardwired
-	r := NewRuntime(p)
+	r := NewPCLRRuntime(DefaultPlatform(8), simarch.Hardwired)
 	l := loopWith(denseSpec(), "hw")
 	out := r.Execute(l)
 	if !out.Configuration.UseHardware {
@@ -98,9 +95,7 @@ func TestRuntimeHardwarePath(t *testing.T) {
 }
 
 func TestRuntimeHardwareFallbackOnUnsupportedOp(t *testing.T) {
-	p := DefaultPlatform(4)
-	p.PCLR = true
-	r := NewRuntime(p)
+	r := NewPCLRRuntime(DefaultPlatform(4), simarch.Hardwired)
 	l := loopWith(workloads.PatternSpec{Dim: 5000, SPPercent: 30, CHR: 0.3, MO: 1, Locality: 0.8, Work: 10, Seed: 3}, "mul")
 	l.Op = trace.OpMul // the directory units cannot combine products
 	out := r.Execute(l)

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/platform"
 	"repro/internal/reduction"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -15,8 +15,8 @@ import (
 func TestNewRejectsInvalidConfig(t *testing.T) {
 	bad := []Config{
 		{Workers: -1},
-		{Platform: core.Platform{Procs: 65}},
-		{Platform: core.Platform{Procs: -2}},
+		{Platform: platform.Platform{Procs: 65}},
+		{Platform: platform.Platform{Procs: -2}},
 		{SampleStride: -1},
 		{QueueDepth: -3},
 		{MaxCacheEntries: -1},

@@ -33,7 +33,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/platform"
 	"repro/internal/reduction"
 	"repro/internal/trace"
 
@@ -45,11 +45,11 @@ type Config struct {
 	// Workers is the number of batches executed concurrently (the bounded
 	// pool). Defaults to 4.
 	Workers int
-	// Platform is the machine the engine serves on: its Procs is the
-	// goroutine fan-out per job, and its PCLR fields route supported loops
-	// to the hardware path exactly as core.Configurer does. A zero
-	// platform defaults to the software-only 8-processor machine.
-	Platform core.Platform
+	// Platform is the machine the engine serves on: Procs is the
+	// goroutine fan-out per job, and Cfg.L2Bytes sizes pattern
+	// characterization and merge blocks. Zero Procs defaults to 8; zero
+	// L2Bytes to the paper's Table 1 cache (platform.DefaultL2Bytes).
+	Platform platform.Platform
 	// SampleStride is the inspector sampling stride for pattern
 	// characterization (default 8, matching core.Runtime).
 	SampleStride int
@@ -118,8 +118,7 @@ type Result struct {
 	// Values is the reduction array. When SubmitInto was given a dst with
 	// sufficient capacity, Values aliases it — on the batched path too.
 	Values []float64
-	// Scheme is the executed implementation: a paper abbreviation, or
-	// "pclr-<controller>" on the hardware path.
+	// Scheme is the executed scheme's paper abbreviation.
 	Scheme string
 	// Why is the selection rationale recorded in the decision cache.
 	Why string
@@ -200,6 +199,8 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: negative Platform.Procs %d", cfg.Platform.Procs)
 	case cfg.Platform.Procs > 64:
 		return nil, fmt.Errorf("engine: platform with %d processors exceeds the 64-processor model limit", cfg.Platform.Procs)
+	case cfg.Platform.Cfg.L2Bytes < 0:
+		return nil, fmt.Errorf("engine: negative Platform.Cfg.L2Bytes %d", cfg.Platform.Cfg.L2Bytes)
 	case cfg.SampleStride < 0:
 		return nil, fmt.Errorf("engine: negative SampleStride %d", cfg.SampleStride)
 	case cfg.QueueDepth < 0:
@@ -223,7 +224,10 @@ func New(cfg Config) (*Engine, error) {
 		cfg.Workers = 4
 	}
 	if cfg.Platform.Procs == 0 {
-		cfg.Platform = core.DefaultPlatform(8)
+		cfg.Platform.Procs = 8
+	}
+	if cfg.Platform.Cfg.L2Bytes == 0 {
+		cfg.Platform.Cfg.L2Bytes = platform.DefaultL2Bytes
 	}
 	if cfg.SampleStride == 0 {
 		cfg.SampleStride = 8

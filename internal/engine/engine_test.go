@@ -7,8 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/simarch"
+	"repro/internal/platform"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -71,7 +70,7 @@ func TestEngineMatchesSequential(t *testing.T) {
 // reference.
 func TestEngineConcurrentSubmit(t *testing.T) {
 	loops, refs := mixedLoops()
-	e := mustNew(t, Config{Workers: 4, Platform: core.DefaultPlatform(4)})
+	e := mustNew(t, Config{Workers: 4, Platform: platform.Default(4)})
 	defer e.Close()
 
 	const goroutines = 8
@@ -186,26 +185,6 @@ func TestEngineFeedbackSchedulingKeepsResultsCorrect(t *testing.T) {
 	}
 }
 
-func TestEngineHardwarePlatform(t *testing.T) {
-	loops, refs := mixedLoops()
-	p := core.DefaultPlatform(4)
-	p.PCLR = true
-	p.PCLRController = simarch.Hardwired
-	e := mustNew(t, Config{Workers: 2, Platform: p})
-	defer e.Close()
-	res, err := e.Submit(loops[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Scheme != "pclr-Hw" && res.Scheme != "pclr-hw" {
-		t.Logf("hardware scheme name: %s", res.Scheme)
-		if len(res.Scheme) < 5 || res.Scheme[:5] != "pclr-" {
-			t.Errorf("scheme = %q, want pclr-*", res.Scheme)
-		}
-	}
-	assertMatches(t, "hardware", res.Values, refs[0])
-}
-
 func TestEngineSubmitAfterClose(t *testing.T) {
 	e := mustNew(t, Config{Workers: 1})
 	e.Close()
@@ -252,7 +231,7 @@ func TestCloseResolvesOutstandingHandles(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		e := mustNew(t, Config{
 			Workers:    1,
-			Platform:   core.DefaultPlatform(2),
+			Platform:   platform.Default(2),
 			QueueDepth: 1, // maximum backpressure: senders block in SubmitAsync
 			MaxBatch:   4,
 		})

@@ -3,7 +3,7 @@ package engine
 import (
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/platform"
 	"repro/internal/workloads"
 )
 
@@ -15,7 +15,7 @@ import (
 func recalConfig() Config {
 	return Config{
 		Workers:    1,
-		Platform:   core.DefaultPlatform(8),
+		Platform:   platform.Default(8),
 		DriftRatio: 1e9,
 		RecalEvery: 4,
 	}

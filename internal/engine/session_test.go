@@ -8,7 +8,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/platform"
 	"repro/internal/reduction"
 	"repro/internal/trace"
 )
@@ -46,7 +46,7 @@ func sessionDeltas(rng *rand.Rand, l *trace.Loop, n int) []reduction.RefDelta {
 // association, same kernels — so any divergence is incremental-state
 // rot, exactly what the session path must never produce).
 func TestSessionMatchesFreshOpen(t *testing.T) {
-	e := mustNew(t, Config{Workers: 2, Platform: core.DefaultPlatform(4)})
+	e := mustNew(t, Config{Workers: 2, Platform: platform.Default(4)})
 	defer e.Close()
 	rng := rand.New(rand.NewSource(99))
 	l := sessionLoop(80, 300, 1)

@@ -218,7 +218,7 @@ func (s *DeltaState) combine(procs int, ex *Exec, dst []float64) {
 	}
 	fast := ex.fastAdd(s.loop)
 	parallelFor(procs, func(pr int) {
-		lo, hi := blockBounds(s.loop.NumElems, procs, pr)
+		lo, hi := BlockBounds(s.loop.NumElems, procs, pr)
 		if fast {
 			combineTreeAdd(dst, s.parts, lo, hi)
 		} else {

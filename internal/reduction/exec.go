@@ -5,14 +5,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/platform"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
-
-// defaultL2Bytes is the modeled per-processor L2 capacity (the paper's
-// Table 1 machine) used to size merge blocks when the caller installs no
-// platform-specific Exec.MergeBlockElems.
-var defaultL2Bytes = vtime.DefaultConfig().L2Bytes
 
 // BufferPool recycles the privatization buffers the schemes allocate per
 // execution (private replicated arrays, link/flag arrays, remap tables,
@@ -158,12 +153,14 @@ func MergeBlockForCache(l2Bytes, procs int) int {
 	return block
 }
 
-// mergeBlock returns the context's tree-merge block size (nil-safe).
+// mergeBlock returns the context's tree-merge block size (nil-safe),
+// sized for the Table 1 machine's L2 when the caller installed no
+// platform-specific MergeBlockElems.
 func (ex *Exec) mergeBlock(procs int) int {
 	if ex != nil && ex.MergeBlockElems > 0 {
 		return ex.MergeBlockElems
 	}
-	return MergeBlockForCache(defaultL2Bytes, procs)
+	return MergeBlockForCache(platform.DefaultL2Bytes, procs)
 }
 
 // fastAdd reports whether the loop takes the specialized OpAdd kernels in
@@ -179,7 +176,7 @@ func (ex *Exec) iterBlock(n, procs, p int) (lo, hi int) {
 	if ex != nil && len(ex.IterBounds) == procs+1 && ex.IterBounds[procs] == n && ex.IterBounds[0] == 0 {
 		return ex.IterBounds[p], ex.IterBounds[p+1]
 	}
-	return blockBounds(n, procs, p)
+	return BlockBounds(n, procs, p)
 }
 
 // pool returns the context's buffer pool (nil-safe).

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/platform"
 	"repro/internal/trace"
 )
 
@@ -189,7 +190,7 @@ func TestMergeBlockForCache(t *testing.T) {
 		t.Fatalf("override: got %d, want 123", got)
 	}
 	var nilEx *Exec
-	if got := nilEx.mergeBlock(8); got != MergeBlockForCache(defaultL2Bytes, 8) {
+	if got := nilEx.mergeBlock(8); got != MergeBlockForCache(platform.DefaultL2Bytes, 8) {
 		t.Fatalf("nil Exec default: got %d", got)
 	}
 }

@@ -335,7 +335,7 @@ func (p *SegPlan) Run(procs int, ex *Exec, cache *SegCache, dsts [][]float64) Se
 		}
 	}
 	parallelFor(procs, func(pr int) {
-		lo, hi := blockBounds(p.numElems, procs, pr)
+		lo, hi := BlockBounds(p.numElems, procs, pr)
 		for m := range parts {
 			if fast {
 				combineTreeAdd(dsts[m], parts[m], lo, hi)

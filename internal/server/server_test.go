@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/platform"
 	"repro/internal/server"
 	"repro/internal/testkit"
 	"repro/internal/trace"
@@ -232,7 +232,7 @@ func TestCoalescingSurvivesNetworkHop(t *testing.T) {
 // down mid-flight, and requires every handle to resolve — result or
 // error, never a hang — and the engine to remain usable afterwards.
 func TestGracefulShutdownResolvesInflight(t *testing.T) {
-	eng, err := engine.New(engine.Config{Workers: 1, Platform: core.DefaultPlatform(4)})
+	eng, err := engine.New(engine.Config{Workers: 1, Platform: platform.Default(4)})
 	if err != nil {
 		t.Fatal(err)
 	}

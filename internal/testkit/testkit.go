@@ -17,8 +17,8 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/platform"
 	"repro/internal/server"
 	"repro/internal/trace"
 )
@@ -74,7 +74,7 @@ func StartDaemonOn(t testing.TB, ln net.Listener, ecfg engine.Config, scfg serve
 		ecfg.Workers = 2
 	}
 	if ecfg.Platform.Procs == 0 {
-		ecfg.Platform = core.DefaultPlatform(4)
+		ecfg.Platform = platform.Default(4)
 	}
 	eng, err := engine.New(ecfg)
 	if err != nil {

@@ -15,6 +15,8 @@ package vtime
 
 import (
 	"fmt"
+
+	"repro/internal/platform"
 )
 
 // Config holds the cost model parameters. Defaults mirror the paper's
@@ -70,7 +72,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		L1Bytes: 32 << 10, L1Assoc: 2,
-		L2Bytes: 512 << 10, L2Assoc: 4,
+		L2Bytes: platform.DefaultL2Bytes, L2Assoc: 4,
 		LineBytes:   64,
 		L1HitCycles: 2, L2HitCycles: 10, MemCycles: 104, RemoteCycles: 297,
 		CPI:              0.5,
